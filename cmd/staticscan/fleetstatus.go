@@ -36,7 +36,10 @@ func runFleetStatus(out io.Writer, arg string) error {
 	if err != nil {
 		return fmt.Errorf("fleet-status: %w", err)
 	}
-	defer resp.Body.Close()
+	defer func() {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("fleet-status: %s answered %d (is the coordinator running with federation enabled?)", url, resp.StatusCode)
 	}

@@ -134,7 +134,7 @@ func (c *Client) list(ctx context.Context) ([]string, error) {
 		// textbook transient class.
 		return nil, retry.Transient(fmt.Errorf("androzoo: %w", err))
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, classifyStatus(resp.StatusCode, fmt.Errorf("androzoo: snapshot: unexpected status %s", resp.Status))
 	}
@@ -170,7 +170,7 @@ func (c *Client) download(ctx context.Context, pkg string) ([]byte, error) {
 	if err != nil {
 		return nil, retry.Transient(fmt.Errorf("androzoo: %s: %w", pkg, err))
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, classifyStatus(resp.StatusCode, fmt.Errorf("androzoo: %s: unexpected status %s", pkg, resp.Status))
 	}
@@ -188,6 +188,14 @@ func (c *Client) download(ctx context.Context, pkg string) ([]byte, error) {
 		}
 	}
 	return img, nil
+}
+
+// drainClose reads a bounded tail of body before closing it, so an error
+// response (a 404 for an unknown APK) leaves its connection reusable
+// instead of making the transport drop it.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, 4096))
+	body.Close()
 }
 
 // classifyStatus marks 5xx responses transient (the server may recover)

@@ -10,8 +10,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,5 +302,45 @@ func TestDownloadTruncationWithoutRetryIsRetryableError(t *testing.T) {
 	}
 	if !retry.IsRetryable(err) {
 		t.Error("digest mismatch not classified retryable")
+	}
+}
+
+// TestNotFoundDownloadsReuseConnections is the dial-storm regression test
+// for the repository client: two goroutines downloading unknown APKs get
+// 404s, and each must hand its connection back instead of forcing a dial.
+func TestNotFoundDownloadsReuseConnections(t *testing.T) {
+	c, err := corpus.Generate(corpus.Config{Seed: 1, Scale: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(c).Handler())
+	defer srv.Close()
+	client := NewClient(srv.URL, srv.Client())
+	var dials, reused atomic.Int64
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) {
+			if info.Reused {
+				reused.Add(1)
+			} else {
+				dials.Add(1)
+			}
+		},
+	})
+	const workers = 2
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if _, err := client.Download(ctx, fmt.Sprintf("com.unknown%d.app%d", w, i)); err == nil {
+					t.Error("unknown APK downloaded")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if d := dials.Load(); d > workers {
+		t.Errorf("%d dials for %d 404s (%d reused), want ≤ %d", d, d+reused.Load(), reused.Load(), workers)
 	}
 }

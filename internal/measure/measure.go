@@ -214,6 +214,9 @@ func ReportAPICalls(ctx context.Context, client *http.Client, policy *retry.Poli
 		if err != nil {
 			return struct{}{}, retry.Transient(fmt.Errorf("measure: %w", err))
 		}
+		// Drain a bounded tail before close: a shed (429/503) or rejected
+		// upload closed unread would cost the next attempt a fresh dial.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
 		return struct{}{}, retry.ClassifyHTTPResponse(resp)
 	})

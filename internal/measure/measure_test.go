@@ -4,7 +4,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -233,5 +235,45 @@ func TestReportAPICallsRetriesOn429(t *testing.T) {
 	}
 	if got := len(srv.ForApp("com.x")); got != 1 {
 		t.Errorf("traces = %d, want 1", got)
+	}
+}
+
+// TestShedUploadsReuseConnections is the dial-storm regression test for
+// the beacon uploader: a collector shedding every upload with 503 must
+// not cost each attempt a fresh connection.
+func TestShedUploadsReuseConnections(t *testing.T) {
+	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "0")
+		http.Error(w, "shedding load", http.StatusServiceUnavailable)
+	}))
+	defer gate.Close()
+	var dials, reused atomic.Int64
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) {
+			if info.Reused {
+				reused.Add(1)
+			} else {
+				dials.Add(1)
+			}
+		},
+	})
+	p := &retry.Policy{MaxAttempts: 5, Seed: 1, Sleep: func(context.Context, time.Duration) error { return nil }}
+	calls := []browsersim.APICall{{Interface: "HTMLMetaElement", Method: "getAttribute"}}
+	const workers = 2
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := ReportAPICalls(ctx, gate.Client(), p, gate.URL+"/collect", "com.x", calls); err == nil {
+					t.Error("a shed upload reported success")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if d := dials.Load(); d > workers {
+		t.Errorf("%d dials for %d shed uploads (%d reused), want ≤ %d", d, d+reused.Load(), reused.Load(), workers)
 	}
 }

@@ -11,7 +11,9 @@
 // bounded by Config.Workers in-flight APK images rather than the corpus
 // size, and the slowest stage — not the sum of stages — sets the wall
 // time. Results are still aggregated deterministically (sorted by package)
-// regardless of completion order.
+// regardless of completion order. A metadata source that can answer many
+// packages per request (BatchMetadataSource) is asked one feed chunk at a
+// time, so a corpus-scale metadata sweep costs one round trip per chunk.
 //
 // An optional content-addressed result cache (internal/resultcache), keyed
 // by the APK payload digest plus the SDK-index fingerprint, lets a warm
@@ -67,6 +69,19 @@ type Repository interface {
 // MetadataSource is the app-store metadata service (Play Store).
 type MetadataSource interface {
 	Metadata(ctx context.Context, pkg string) (playstore.Metadata, error)
+}
+
+// BatchMetadataSource is a MetadataSource that can also answer many
+// packages in one request (playstore.Client does, through POST /v1/lookup).
+// When the pipeline's source implements it, each metadata worker looks up a
+// whole feed chunk at once. MetadataBatch returns one listing and one error
+// per package, in order; an item whose error is neither nil nor
+// playstore.ErrNotFound — and every item when the slices are the wrong
+// length — goes through the per-package Metadata path with the run's retry
+// policy, so retries, quarantine and the error budget stay per package.
+type BatchMetadataSource interface {
+	MetadataSource
+	MetadataBatch(ctx context.Context, pkgs []string) ([]playstore.Metadata, []error)
 }
 
 // Config parameterises a run.
@@ -160,6 +175,28 @@ func New(repo Repository, meta MetadataSource, cfg Config) *Pipeline {
 		p.urlFP = cfg.URLs.Fingerprint()
 	}
 	return p
+}
+
+// metadata fetches one package's listing under the run's retry policy and
+// records its latency.
+func (p *Pipeline) metadata(ctx context.Context, m *runMetrics, pkg string) (playstore.Metadata, error) {
+	tm := m.hub.Timer(pkg, "metadata")
+	md, err := retry.Do(ctx, p.cfg.Retry, func(ctx context.Context) (playstore.Metadata, error) {
+		md, err := p.meta.Metadata(ctx, pkg)
+		if err != nil && errors.Is(err, playstore.ErrNotFound) {
+			// Absence is a fact, not a fault: never retried.
+			return md, retry.Permanent(err)
+		}
+		return md, err
+	})
+	tm.ObserveInto(m.metaLat)
+	return md, err
+}
+
+// answered reports whether a batch item's error is an answer — listed or
+// not found — rather than a failure to be retried per package.
+func answered(err error) bool {
+	return err == nil || errors.Is(err, playstore.ErrNotFound)
 }
 
 // SDKHit is one SDK observed driving a surface in one app.
@@ -444,6 +481,10 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	// Stage 1-2: metadata collection and selection filtering (§3.1.1).
 	// Funnel counters accumulate per worker and merge once on exit; the
 	// counts are additive, so the result is identical to locking per item.
+	// A batch-capable source answers each feed chunk in one lookup, and each
+	// answered item's latency is that lookup's; items it did not answer take
+	// the per-package retry path.
+	batchMeta, _ := p.meta.(BatchMetadataSource)
 	var metaWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		metaWG.Add(1)
@@ -458,18 +499,33 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 				mu.Unlock()
 				m.metaOut.Add(int64(filtered))
 			}()
+			var timers []telemetry.Timer
 			for chunk := range pkgCh {
-				for _, pkg := range chunk {
-					tm := m.hub.Timer(pkg, "metadata")
-					md, err := retry.Do(runCtx, p.cfg.Retry, func(ctx context.Context) (playstore.Metadata, error) {
-						md, err := p.meta.Metadata(ctx, pkg)
-						if err != nil && errors.Is(err, playstore.ErrNotFound) {
-							// Absence is a fact, not a fault: never retried.
-							return md, retry.Permanent(err)
+				var mds []playstore.Metadata
+				var errs []error
+				if batchMeta != nil {
+					timers = timers[:0]
+					for _, pkg := range chunk {
+						timers = append(timers, m.hub.Timer(pkg, "metadata"))
+					}
+					mds, errs = batchMeta.MetadataBatch(runCtx, chunk)
+					if len(mds) != len(chunk) || len(errs) != len(chunk) {
+						mds, errs = nil, nil
+					}
+					for i, err := range errs {
+						if answered(err) {
+							timers[i].ObserveInto(m.metaLat)
 						}
-						return md, err
-					})
-					tm.ObserveInto(m.metaLat)
+					}
+				}
+				for i, pkg := range chunk {
+					var md playstore.Metadata
+					var err error
+					if errs != nil && answered(errs[i]) {
+						md, err = mds[i], errs[i]
+					} else {
+						md, err = p.metadata(runCtx, m, pkg)
+					}
 					if err != nil {
 						if errors.Is(err, playstore.ErrNotFound) {
 							continue
