@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/jsvm"
 	"repro/internal/netlog"
 )
 
@@ -235,17 +234,16 @@ var probeAPIWant = []APICall{
 
 const probeAPIWantOut = "v|true|QuotaExceededError|true|devicemotion:0|granted|copied"
 
-func runProbeAPIs(t *testing.T, eng jsvm.Engine) []APICall {
+func runProbeAPIs(t *testing.T) []APICall {
 	t.Helper()
 	srv := bindingsSite(t)
 	page := loadB(t, srv, nil)
-	page.VM.Engine = eng
 	out, err := page.Execute(probeAPIScript)
 	if err != nil {
-		t.Fatalf("engine %v: %v", eng, err)
+		t.Fatal(err)
 	}
 	if out != probeAPIWantOut {
-		t.Errorf("engine %v: out = %q, want %q", eng, out, probeAPIWantOut)
+		t.Errorf("out = %q, want %q", out, probeAPIWantOut)
 	}
 	return page.APICalls()
 }
@@ -253,29 +251,13 @@ func runProbeAPIs(t *testing.T, eng jsvm.Engine) []APICall {
 // TestProbeAPIInterception asserts the new Web-API surfaces are
 // intercepted per call, row for row.
 func TestProbeAPIInterception(t *testing.T) {
-	got := runProbeAPIs(t, jsvm.EngineDefault)
+	got := runProbeAPIs(t)
 	if len(got) != len(probeAPIWant) {
 		t.Fatalf("api calls = %+v, want %+v", got, probeAPIWant)
 	}
 	for i, w := range probeAPIWant {
 		if got[i] != w {
 			t.Errorf("api call %d = %+v, want %+v", i, got[i], w)
-		}
-	}
-}
-
-// TestProbeAPIDifferentialParity runs the probe on both jsvm engines and
-// asserts the recorded interception rows are identical — the
-// telemetry-visible side effects the differential harness guarantees.
-func TestProbeAPIDifferentialParity(t *testing.T) {
-	ast := runProbeAPIs(t, jsvm.EngineAST)
-	bc := runProbeAPIs(t, jsvm.EngineBytecode)
-	if len(ast) != len(bc) {
-		t.Fatalf("row count: ast=%d bytecode=%d (%+v vs %+v)", len(ast), len(bc), ast, bc)
-	}
-	for i := range ast {
-		if ast[i] != bc[i] {
-			t.Errorf("row %d: ast=%+v bytecode=%+v", i, ast[i], bc[i])
 		}
 	}
 }

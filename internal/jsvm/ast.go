@@ -1,6 +1,6 @@
 package jsvm
 
-// AST node types. The interpreter walks these directly; positions are
+// AST node types. compile.go lowers these to bytecode; positions are
 // line numbers for error reporting.
 
 type node interface{ line() int }

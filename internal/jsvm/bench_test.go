@@ -61,7 +61,7 @@ func BenchmarkJSVMCachedParse(b *testing.B) {
 }
 
 // BenchmarkJSVMExecuteHot measures repeated execution inside one VM —
-// where the scope and argument pooling shows up.
+// where the inline caches and the reused value stack show up.
 func BenchmarkJSVMExecuteHot(b *testing.B) {
 	prog, err := Compile(`
 		function work(n) {
@@ -81,35 +81,6 @@ func BenchmarkJSVMExecuteHot(b *testing.B) {
 		if _, err := vm.RunProgram(prog); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkJSVMBytecodeExecute is BenchmarkJSVMExecuteHot pinned to the
-// bytecode engine, with an AST-engine pair for same-binary comparison.
-func BenchmarkJSVMBytecodeExecute(b *testing.B) {
-	prog, err := Compile(`
-		function work(n) {
-			var t = 0;
-			for (var i = 0; i < n; i++) { t += i }
-			return t
-		}
-		work(50)
-	`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, eng := range []Engine{EngineBytecode, EngineAST} {
-		b.Run(eng.String(), func(b *testing.B) {
-			vm := New()
-			vm.Engine = eng
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := vm.RunProgram(prog); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -139,11 +110,7 @@ func TestICHitRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.main == nil {
-		t.Fatal("program did not lower to bytecode")
-	}
 	vm := New()
-	vm.Engine = EngineBytecode
 	for i := 0; i < 5; i++ {
 		if _, err := vm.RunProgram(prog); err != nil {
 			t.Fatal(err)

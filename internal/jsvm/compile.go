@@ -9,8 +9,9 @@ import "fmt"
 // monomorphic inline-cache sites for global and static property lookups.
 // Names it cannot resolve statically — top-level declarations and
 // implicit globals — fall back to named lookup against the global scope,
-// preserving the tree walker's observable semantics exactly (including
-// its execution-time declaration quirks; see the lookup-chain comments).
+// preserving the observable semantics of the reference tree walker in
+// reference_test.go exactly (including its execution-time declaration
+// quirks; see the lookup-chain comments).
 
 // op is a bytecode opcode.
 type op uint8
@@ -200,9 +201,9 @@ type constKey struct {
 type compileError struct{ err error }
 
 // compileProgram lowers a parsed program to bytecode. Errors indicate an
-// AST shape the compiler does not handle; callers fall back to the tree
-// walker.
-func compileProgram(p *Program) (mp *funcProto, err error) {
+// AST shape the compiler does not handle, a compiler bug: every program
+// the parser accepts lowers (FuzzCompile checks this).
+func compileProgram(body []node) (mp *funcProto, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ce, ok := r.(compileError)
@@ -212,26 +213,29 @@ func compileProgram(p *Program) (mp *funcProto, err error) {
 			mp, err = nil, ce.err
 		}
 	}()
-	var body []node
-	for i := range p.decls {
-		body = append(body, p.decls[i])
+	var decls []funcDecl
+	var stmts []node
+	for _, st := range body {
+		if fd, ok := st.(funcDecl); ok {
+			decls = append(decls, fd)
+		} else {
+			stmts = append(stmts, st)
+		}
 	}
-	body = append(body, p.stmts...)
 
 	f := newCFunc(nil, "(program)")
 	f.global = true
 	f.captured = capturedNames(body)
 	// Hoisted top-level function declarations, then statements in source
-	// order, mirroring RunProgram's tree-walking order. Each top-level
-	// statement updates the last-value register (non-expression statements
-	// reset it to undefined, as the walker's completion values do).
-	for i := range p.decls {
-		fd := &p.decls[i]
+	// order. Each top-level statement updates the last-value register
+	// (non-expression statements reset it to undefined).
+	for i := range decls {
+		fd := &decls[i]
 		idx := f.compileFuncLit(fd.fn)
 		f.emit(opClosure, idx, 0, fd.line(), 1)
 		f.emit(opDeclGlobal, f.nameOf(fd.fn.name), 0, fd.line(), -1)
 	}
-	for _, st := range p.stmts {
+	for _, st := range stmts {
 		if es, ok := st.(exprStmt); ok {
 			f.expr(es.expr)
 			f.emit(opStoreLast, 0, 0, es.line(), -1)
@@ -835,7 +839,7 @@ func (f *cfunc) stmt(st node) {
 		f.tryStmt(s)
 	case funcDecl:
 		// A function statement outside a block (e.g. an if branch) declares
-		// at execution time, like the walker's execStmt default.
+		// at execution time, as in the reference walker.
 		idx := f.compileFuncLit(s.fn)
 		f.emit(opClosure, idx, 0, s.line(), 1)
 		f.storeDecl(s.fn.name, s.line())

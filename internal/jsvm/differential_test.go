@@ -10,9 +10,9 @@ import (
 // differentialCorpus collects programs exercising every language feature
 // the engines support, including the semantic quirks both must replicate
 // (execution-time var declaration, lost writes to Global-object-backed
-// names, finally overriding control flow). Every entry runs on both
-// engines and must produce identical results, errors and host-visible
-// side effects.
+// names, finally overriding control flow). Every entry runs on the
+// reference walker (reference_test.go) and on the shipped VM, and must
+// produce identical results, errors and host-visible side effects.
 var differentialCorpus = []string{
 	// Arithmetic, precedence, coercion.
 	`1 + 2 * 3`,
@@ -138,11 +138,20 @@ type diffOutcome struct {
 	log    []string
 }
 
-// runEngineDiff executes src on a fresh VM pinned to one engine,
-// capturing the result, error and host-call log.
-func runEngineDiff(src string, eng Engine, maxSteps int) diffOutcome {
+// engine executes a compiled program on a prepared VM: shipped is the
+// bytecode VM, reference the tree walker.
+type engine func(*VM, *Program) (Value, error)
+
+var (
+	shipped   engine = (*VM).RunProgram
+	reference engine = runReference
+)
+
+// runEngineDiff compiles src and executes it on a fresh VM with one
+// engine, capturing the result, error and host-call log. A call-depth
+// kill counts as a budget kill: both bound resources, not semantics.
+func runEngineDiff(src string, run engine, maxSteps int) diffOutcome {
 	vm := New()
-	vm.Engine = eng
 	vm.MaxSteps = maxSteps
 	var out diffOutcome
 	vm.Global.Set("HOSTVAL", Number(7))
@@ -154,10 +163,14 @@ func runEngineDiff(src string, eng Engine, maxSteps int) diffOutcome {
 		out.log = append(out.log, strings.Join(parts, "|"))
 		return Undefined(), nil
 	})
-	v, err := vm.Run(src)
+	p, err := Compile(src)
+	var v Value
+	if err == nil {
+		v, err = run(vm, p)
+	}
 	if err != nil {
 		out.errStr = err.Error()
-		out.budget = errors.Is(err, ErrStepBudget)
+		out.budget = errors.Is(err, ErrStepBudget) || errors.Is(err, ErrCallDepth)
 		return out
 	}
 	out.val = v.TypeOf() + ":" + v.StringValue()
@@ -191,24 +204,18 @@ func compareOutcomes(t *testing.T, src string, ast, bc diffOutcome) {
 
 func TestDifferentialCorpus(t *testing.T) {
 	for _, src := range differentialCorpus {
-		ast := runEngineDiff(src, EngineAST, 0)
-		bc := runEngineDiff(src, EngineBytecode, 0)
+		ast := runEngineDiff(src, reference, 0)
+		bc := runEngineDiff(src, shipped, 0)
 		compareOutcomes(t, src, ast, bc)
 	}
 }
 
-// TestDifferentialCorpusLowers pins that every corpus program actually
-// takes the bytecode path (a silent fallback to the walker would make
-// the differential comparison vacuous).
+// TestDifferentialCorpusLowers pins that every corpus program compiles:
+// a lowering failure would turn a differential case into a bare error
+// comparison.
 func TestDifferentialCorpusLowers(t *testing.T) {
 	for _, src := range differentialCorpus {
-		p, err := Compile(src)
-		if err != nil {
-			continue // parse-error entries exercise the error path instead
-		}
-		if p.main == nil {
-			t.Errorf("%q: no bytecode form; differential run would be vacuous", src)
-		}
+		checkLowers(t, src)
 	}
 }
 
@@ -225,8 +232,8 @@ func TestDifferentialStepBudget(t *testing.T) {
 	}
 	for _, src := range cases {
 		for _, budget := range []int{500, 50_000} {
-			ast := runEngineDiff(src, EngineAST, budget)
-			bc := runEngineDiff(src, EngineBytecode, budget)
+			ast := runEngineDiff(src, reference, budget)
+			bc := runEngineDiff(src, shipped, budget)
 			if !ast.budget {
 				t.Errorf("%q (budget %d): ast engine did not hit the step budget: %q", src, budget, ast.errStr)
 			}
@@ -242,13 +249,13 @@ func TestDifferentialStepBudget(t *testing.T) {
 // AST budget also finish under the bytecode budget.
 func TestDifferentialBudgetSurvivors(t *testing.T) {
 	src := `var t = 0; for (var i = 0; i < 100; i++) { t += i } t`
-	for _, eng := range []Engine{EngineAST, EngineBytecode} {
+	for name, eng := range map[string]engine{"ast": reference, "bytecode": shipped} {
 		out := runEngineDiff(src, eng, 50_000)
 		if out.errStr != "" {
-			t.Errorf("engine %v: %q", eng, out.errStr)
+			t.Errorf("engine %s: %q", name, out.errStr)
 		}
 		if out.val != "number:4950" {
-			t.Errorf("engine %v: got %q", eng, out.val)
+			t.Errorf("engine %s: got %q", name, out.val)
 		}
 	}
 }
@@ -348,8 +355,8 @@ func TestDifferentialGenerated(t *testing.T) {
 	for seed := uint64(1); seed <= 400; seed++ {
 		g := &diffGen{state: seed * 0x9e3779b97f4a7c15}
 		src := g.program()
-		ast := runEngineDiff(src, EngineAST, 200_000)
-		bc := runEngineDiff(src, EngineBytecode, 200_000)
+		ast := runEngineDiff(src, reference, 200_000)
+		bc := runEngineDiff(src, shipped, 200_000)
 		compareOutcomes(t, fmt.Sprintf("seed %d: %s", seed, src), ast, bc)
 	}
 }
@@ -364,8 +371,56 @@ func FuzzDifferentialEngines(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		g := &diffGen{state: seed*0x9e3779b97f4a7c15 + 1}
 		src := g.program()
-		ast := runEngineDiff(src, EngineAST, 200_000)
-		bc := runEngineDiff(src, EngineBytecode, 200_000)
+		ast := runEngineDiff(src, reference, 200_000)
+		bc := runEngineDiff(src, shipped, 200_000)
 		compareOutcomes(t, src, ast, bc)
+	})
+}
+
+// hostileSources are inputs that once hung or crashed the engine, with
+// the error each must now produce: a non-identifier non-ASCII rune lexed
+// as an empty identifier that never advanced, deep nesting overflowed the
+// parser's stack, and unbounded recursion overflowed the VM's.
+var hostileSources = []struct{ src, want string }{
+	{"f(1 × 2)", "unexpected character '×'"},
+	{"A(\xe6\xe6", "unexpected character"},
+	{"x — y", "unexpected character '—'"},
+	{strings.Repeat("(", 1<<20), "nesting deeper than"},
+	{strings.Repeat("[", 1<<20), "nesting deeper than"},
+	{strings.Repeat("{", 1<<20), "nesting deeper than"},
+	{strings.Repeat("!", 1<<20), "nesting deeper than"},
+	{strings.Repeat("-", 1<<20), "nesting deeper than"},
+	{strings.Repeat("1+", 1<<19) + "1", "nesting deeper than"},
+	{"function f() { return f() } f()", "call depth exceeded"},
+}
+
+// checkLowers asserts that Compile accepts every source the parser
+// accepts: lowering to bytecode never fails.
+func checkLowers(t *testing.T, src string) {
+	t.Helper()
+	if _, err := parseProgram(src); err != nil {
+		return
+	}
+	if _, err := Compile(src); err != nil {
+		t.Errorf("%q parses but does not compile: %v", src, err)
+	}
+}
+
+// FuzzCompile feeds arbitrary bytes to Compile: it must return (not hang,
+// panic or overflow the stack), and every source the parser accepts must
+// lower to bytecode.
+func FuzzCompile(f *testing.F) {
+	for _, src := range differentialCorpus {
+		f.Add(src)
+	}
+	for seed := uint64(1); seed <= 16; seed++ {
+		g := &diffGen{state: seed * 0x9e3779b97f4a7c15}
+		f.Add(g.program())
+	}
+	for _, h := range hostileSources {
+		f.Add(h.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		checkLowers(t, src)
 	})
 }

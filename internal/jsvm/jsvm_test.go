@@ -1,10 +1,12 @@
 package jsvm
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func run(t *testing.T, src string) Value {
@@ -408,6 +410,37 @@ func TestParseErrors(t *testing.T) {
 		if _, err := vm.Run(src); err == nil {
 			t.Errorf("Run(%q) unexpectedly succeeded", src)
 		}
+	}
+}
+
+// TestHostileSourcesFail pins that every input that once hung or crashed
+// the engine returns its error promptly, at the default step budget.
+func TestHostileSourcesFail(t *testing.T) {
+	for _, h := range hostileSources {
+		start := time.Now()
+		_, err := New().Run(h.src)
+		name := h.src[:min(len(h.src), 24)]
+		if err == nil || !strings.Contains(err.Error(), h.want) {
+			t.Errorf("%q: err = %v, want %q", name, err, h.want)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%q: took %v", name, d)
+		}
+	}
+	_, err := New().Run(`function f() { return f() } f()`)
+	if !errors.Is(err, ErrCallDepth) {
+		t.Errorf("unbounded recursion: err = %v, want ErrCallDepth", err)
+	}
+}
+
+// TestNonASCIIIdentifiers pins that the lexer still accepts non-ASCII
+// letters in identifiers.
+func TestNonASCIIIdentifiers(t *testing.T) {
+	if got := run(t, `var café = 1; café + 1`).NumberValue(); got != 2 {
+		t.Errorf("café + 1 = %v", got)
+	}
+	if got := run(t, `été = 1; été`).NumberValue(); got != 1 {
+		t.Errorf("été = %v", got)
 	}
 }
 

@@ -93,8 +93,18 @@ func (l *jsLexer) next() (jsToken, error) {
 
 func (l *jsLexer) lexToken() (jsToken, error) {
 	c := l.src[l.pos]
+	r := rune(c)
+	if c >= utf8.RuneSelf {
+		// Outside strings and comments a non-ASCII rune must start an
+		// identifier; anything else (or invalid UTF-8) would otherwise lex
+		// as an empty token that never advances.
+		r, _ = utf8.DecodeRuneInString(l.src[l.pos:])
+		if !isJSIdentStart(r) {
+			return jsToken{}, fmt.Errorf("jsvm: line %d: unexpected character %q", l.line, r)
+		}
+	}
 	switch {
-	case isJSIdentStart(rune(c)):
+	case isJSIdentStart(r):
 		start := l.pos
 		for l.pos < len(l.src) {
 			r, size := utf8.DecodeRuneInString(l.src[l.pos:])

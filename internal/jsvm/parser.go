@@ -12,7 +12,30 @@ type jsParser struct {
 	// `arguments` identifier marks them all (conservatively — a nested
 	// mention keeps the outer arrays too, which is always safe).
 	fnStack []*funcLit
+	// depth counts the statement, assignment and unary productions being
+	// parsed (every recursive path of the grammar passes through one),
+	// plus the operators and member/call suffixes of the left-deep chain
+	// being built, so it bounds the height of the AST as well.
+	depth int
 }
+
+// maxNesting bounds the parser's recursion and the AST's height. A script
+// body can be megabytes of attacker-controlled text; nesting it a million
+// levels deep would overflow the goroutine stack in the parser or the
+// compiler, a fatal error rather than a parse error.
+const maxNesting = 1000
+
+// enter descends one nesting level. Callers undo it with leave, or by
+// restoring the depth they saved.
+func (p *jsParser) enter() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return fmt.Errorf("jsvm: line %d: nesting deeper than %d", p.tok.line, maxNesting)
+	}
+	return nil
+}
+
+func (p *jsParser) leave() { p.depth-- }
 
 // parseProgram parses a whole script into a statement list.
 func parseProgram(src string) ([]node, error) {
@@ -70,6 +93,10 @@ func (p *jsParser) consumeSemicolon() error {
 }
 
 func (p *jsParser) statement() (node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch {
 	case p.isPunct("{"):
 		return p.block()
@@ -463,6 +490,10 @@ func (p *jsParser) expression() (node, error) {
 var assignOps = map[string]bool{"=": true, "+=": true, "-=": true, "*=": true, "/=": true, "%=": true}
 
 func (p *jsParser) assignment() (node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	left, err := p.conditional()
 	if err != nil {
 		return nil, err
@@ -530,6 +561,7 @@ func (p *jsParser) binary(minPrec int) (node, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func(depth int) { p.depth = depth }(p.depth)
 	for {
 		op := p.tok.text
 		if p.tok.kind != tPunct && !(p.tok.kind == tKeyword && (op == "instanceof" || op == "in")) {
@@ -540,6 +572,9 @@ func (p *jsParser) binary(minPrec int) (node, error) {
 			return left, nil
 		}
 		ln := p.tok.line
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -556,6 +591,10 @@ func (p *jsParser) binary(minPrec int) (node, error) {
 }
 
 func (p *jsParser) unary() (node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	ln := p.tok.line
 	switch {
 	case p.isPunct("!") || p.isPunct("-") || p.isPunct("+") || p.isPunct("~"):
@@ -648,7 +687,11 @@ func (p *jsParser) callMemberNoCall() (node, error) {
 }
 
 func (p *jsParser) memberChain(e node, allowCall bool) (node, error) {
+	defer func(depth int) { p.depth = depth }(p.depth)
 	for {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		switch {
 		case p.isPunct("."):
 			ln := p.tok.line

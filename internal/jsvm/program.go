@@ -7,104 +7,32 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Program is a parsed script ready for repeated execution. A Program is
-// immutable after Compile: the interpreter never mutates AST nodes, so one
+// Program is a compiled script ready for repeated execution. A Program
+// is immutable after Compile: the VM never mutates its bytecode, so one
 // Program may be executed concurrently by any number of VMs (one VM per
 // goroutine — the VM itself is not goroutine-safe). This is what lets the
-// parallel crawl parse each injected script once and run it on every
+// parallel crawl compile each injected script once and run it on every
 // (app, site) visit.
 type Program struct {
-	src string
-	// stmts are the non-declaration statements in source order; decls are
-	// the hoisted top-level function declarations. Splitting at compile
-	// time removes the two hoisting passes Run used to make per execution.
-	stmts []node
-	decls []funcDecl
-	// main is the bytecode form (compile.go). nil when bytecode
-	// compilation declined the program; such programs always run on the
-	// tree walker regardless of the selected engine.
-	main *funcProto
-}
-
-// Engine selects how RunProgram executes a compiled program.
-type Engine int
-
-// Engines.
-const (
-	EngineDefault  Engine = iota // package default (SetDefaultEngine)
-	EngineBytecode               // compile.go stack VM
-	EngineAST                    // tree-walking interpreter
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineBytecode:
-		return "bytecode"
-	case EngineAST:
-		return "ast"
-	default:
-		return "default"
-	}
-}
-
-// defaultEngine is the process-wide engine used when VM.Engine is
-// EngineDefault. Stored atomically so flag parsing may race with worker
-// startup without a data race.
-var defaultEngine atomic.Int32
-
-func init() { defaultEngine.Store(int32(EngineBytecode)) }
-
-// SetDefaultEngine selects the process-wide default execution engine
-// (the -jsvm-engine flag).
-func SetDefaultEngine(e Engine) {
-	if e == EngineDefault {
-		e = EngineBytecode
-	}
-	defaultEngine.Store(int32(e))
-}
-
-// DefaultEngine reports the process-wide default execution engine.
-func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }
-
-// ParseEngine parses a -jsvm-engine flag value.
-func ParseEngine(s string) (Engine, bool) {
-	switch s {
-	case "bytecode", "":
-		return EngineBytecode, true
-	case "ast":
-		return EngineAST, true
-	default:
-		return EngineDefault, false
-	}
+	src  string
+	main *funcProto // bytecode of the top-level code (compile.go)
 }
 
 // Src returns the source the program was compiled from.
 func (p *Program) Src() string { return p.src }
 
-// HasBytecode reports whether the program carries a bytecode form.
-func (p *Program) HasBytecode() bool { return p.main != nil }
-
-// Compile parses src into an executable Program.
+// Compile parses src and lowers it to bytecode.
 func Compile(src string) (*Program, error) {
 	body, err := parseProgram(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{src: src}
-	for _, st := range body {
-		if fd, ok := st.(funcDecl); ok {
-			p.decls = append(p.decls, fd)
-		} else {
-			p.stmts = append(p.stmts, st)
-		}
+	main, err := compileProgram(body)
+	if err != nil {
+		return nil, err
 	}
-	// Lower to bytecode. A compile error is not a program error: the AST
-	// form stays authoritative and the walker executes it.
-	if main, cerr := compileProgram(p); cerr == nil {
-		p.main = main
-		compileCounter.Load().Inc()
-	}
-	return p, nil
+	compileCounter.Load().Inc()
+	return &Program{src: src, main: main}, nil
 }
 
 // Cache is a content-keyed program cache: identical sources parse once and
@@ -226,7 +154,7 @@ func Instrument(hub *telemetry.Hub) {
 	)
 	stepBudgetCounter.Store(hub.Counter("jsvm_step_budget_exhausted_total", "scripts halted by the interpreter step budget"))
 	compileCounter.Store(hub.Counter("jsvm_bytecode_compile_total", "programs lowered to bytecode"))
-	executeCounter.Store(hub.Counter("jsvm_execute_total", "program executions (both engines)"))
+	executeCounter.Store(hub.Counter("jsvm_execute_total", "program executions"))
 	icHitCounter.Store(hub.Counter("jsvm_inline_cache_total", "bytecode inline-cache lookups by result", "result", "hit"))
 	icMissCounter.Store(hub.Counter("jsvm_inline_cache_total", "bytecode inline-cache lookups by result", "result", "miss"))
 }

@@ -179,8 +179,8 @@ func TestArgumentsObjectStillWorks(t *testing.T) {
 }
 
 func TestClosureSurvivesScopePooling(t *testing.T) {
-	// A closure created inside a block keeps its captured scope alive even
-	// though non-escaping scopes are pooled.
+	// A closure keeps its captured bindings alive after the defining call
+	// returns, and each call of the maker captures fresh ones.
 	vm := New()
 	v, err := vm.Run(`
 		function makeCounter() {

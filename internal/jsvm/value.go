@@ -5,7 +5,8 @@
 // behind the browser simulation's <script> execution and the WebView
 // runtime's evaluateJavascript.
 //
-// The interpreter is a tree walker over a hand-written parser. Host
+// A hand-written recursive-descent parser feeds a compiler that lowers
+// each script to bytecode for a stack VM (compile.go, vm.go). Host
 // integrations (document, window, console, JS bridges) are provided as
 // host objects with Go-function properties; see NewObject, HostFunc and
 // VM.Global.
@@ -33,9 +34,8 @@ const (
 )
 
 // kindUnset marks a frame slot whose binding has not executed its
-// declaration yet (the tree walker models this as "absent from the scope
-// map"). It never escapes the VM: every slot read goes through a lookup
-// that skips unset slots.
+// declaration yet. It never escapes the VM: every slot read goes through
+// a lookup that skips unset slots.
 const kindUnset Kind = -1
 
 // Value is a JavaScript value. The zero Value is undefined.
@@ -224,10 +224,7 @@ type Object struct {
 	elems []Value // non-nil marks an array
 	array bool
 
-	// Callable state: fn (AST script function), proto (bytecode script
-	// function) or host.
-	fn    *funcLit
-	env   *scope
+	// Callable state: proto (script function) or host.
 	proto *funcProto
 	cells []*cell // captured bindings of a bytecode closure
 	host  HostFunc

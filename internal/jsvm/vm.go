@@ -1,8 +1,9 @@
 package jsvm
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"math"
 	"strconv"
 )
 
@@ -10,17 +11,128 @@ import (
 // compile.go. One frame per call lives on a shared value stack: parameter
 // and local slots at the base, operands above. Closures capture heap
 // cells; every other binding is a slot. The step budget is charged per
-// instruction with a conversion factor keeping budgets calibrated for the
-// tree walker valid (bytecode executes roughly as many instructions as
-// the walker evaluates nodes, bounded by bcStepFactor).
+// instruction; MaxSteps stays in evaluated-AST-node units (the reference
+// tree walker in reference_test.go counts those), converted by
+// bcStepFactor.
+
+// ErrStepBudget reports that a script exceeded its step budget. Callers
+// check it with errors.Is to distinguish a runaway injected script from a
+// genuine script error.
+var ErrStepBudget = errors.New("step budget exhausted")
+
+// ErrCallDepth reports that a script nested script-function calls deeper
+// than maxCallDepth. Like ErrStepBudget it is not catchable by the script.
+var ErrCallDepth = errors.New("call depth exceeded")
+
+// maxCallDepth bounds nested script-function activations. Every JS call
+// is a Go recursion (execProto, runFrame, dispatchCall), so unbounded
+// script recursion would overflow the goroutine stack, a fatal error,
+// long before a default step budget fires.
+const maxCallDepth = 10_000
+
+// VM executes compiled programs against a global object. A step budget
+// bounds runaway scripts (injected code is untrusted by definition).
+//
+// A VM is single-goroutine: use one VM per worker. Programs (see Compile)
+// are immutable and may be shared between VMs running concurrently.
+type VM struct {
+	Global *Object
+	// MaxSteps bounds evaluated AST nodes per Run; 0 means the default.
+	// The VM charges per instruction against MaxSteps*bcStepFactor.
+	MaxSteps int
+	steps    int
+	depth    int // nested script-function activations
+
+	// globals holds the boxes of top-level declarations; a global-lookup
+	// inline cache keeps the box it resolved. globalGen is bumped on every
+	// declaration, which invalidates those caches.
+	globals   map[string]*Value
+	globalGen uint32
+
+	// The shared value stack, the last-expression register, per-program
+	// inline caches and their hit counters.
+	stack      []Value
+	sp         int
+	lastVal    Value
+	icTab      map[*funcProto][]icEntry
+	lastProto  *funcProto
+	lastICs    []icEntry
+	icHits     uint64
+	icMisses   uint64
+	icFlushedH uint64
+	icFlushedM uint64
+}
+
+const defaultMaxSteps = 2_000_000
+
+// New creates a VM with the standard built-ins installed on its global
+// object (console is left to embedders).
+func New() *VM {
+	vm := &VM{Global: NewObject(), globals: map[string]*Value{}}
+	installBuiltins(vm)
+	return vm
+}
+
+// Run compiles and executes src in the global scope, returning the value
+// of the last expression statement (mirroring evaluateJavascript
+// semantics). Callers executing the same source repeatedly should Compile
+// (or CompileCached) once and use RunProgram.
+func (vm *VM) Run(src string) (Value, error) {
+	prog, err := Compile(src)
+	if err != nil {
+		return Undefined(), err
+	}
+	return vm.RunProgram(prog)
+}
+
+// RunProgram executes a compiled program in the global scope. The program
+// is not mutated and may be shared with other VMs running concurrently.
+func (vm *VM) RunProgram(p *Program) (Value, error) {
+	executeCounter.Load().Inc()
+	vm.steps = 0
+	vm.lastVal = Undefined()
+	st, v, err := vm.execProto(p.main, nil, Undefined(), vm.sp, 0)
+	vm.flushICTelemetry()
+	if err != nil {
+		return Undefined(), err
+	}
+	if st == stReturn {
+		return v, nil
+	}
+	return vm.lastVal, nil
+}
+
+// CallFunction invokes a callable value from Go.
+func (vm *VM) CallFunction(fn Value, this Value, args ...Value) (Value, error) {
+	return vm.invoke(fn, this, args, 0)
+}
+
+// invoke calls fn with args originating outside the VM stack (Go callers
+// and host builtins such as Array.prototype.map).
+func (vm *VM) invoke(fn Value, this Value, args []Value, ln int) (Value, error) {
+	o := fn.Object()
+	if o == nil || !o.call {
+		return Undefined(), throwError("line %d: %s is not a function", ln, fn.StringValue())
+	}
+	if o.host != nil {
+		return o.host(Call{VM: vm, This: this, Args: args})
+	}
+	argStart := vm.sp
+	vm.ensureStack(argStart + len(args))
+	copy(vm.stack[argStart:], args)
+	vm.sp = argStart + len(args)
+	v, err := vm.callProtoAt(o, this, argStart, len(args), ln)
+	vm.sp = argStart
+	return v, err
+}
 
 // bcStepFactor converts an AST-node step budget to a bytecode
 // instruction budget: effective limit = MaxSteps * bcStepFactor.
 const bcStepFactor = 2
 
-// cell is a heap-allocated binding captured by a closure. set mirrors the
-// walker's execution-time declaration: an unset cell falls through to the
-// next lookup candidate.
+// cell is a heap-allocated binding captured by a closure. set marks that
+// the declaration has executed: an unset cell falls through to the next
+// lookup candidate.
 type cell struct {
 	v   Value
 	set bool
@@ -59,35 +171,15 @@ type frame struct {
 	ics     []icEntry
 }
 
-// runBytecode executes a program's compiled main function.
-func (vm *VM) runBytecode(p *Program) (Value, error) {
-	vm.steps = 0
-	vm.lastVal = Undefined()
-	st, v, err := vm.execProto(p.main, nil, Undefined(), vm.sp, 0)
-	vm.flushICTelemetry()
-	if err != nil {
-		return Undefined(), err
+// callProtoAt runs the bytecode closure o on the nargs arguments at
+// argStart, enforcing maxCallDepth.
+func (vm *VM) callProtoAt(o *Object, this Value, argStart, nargs, ln int) (Value, error) {
+	if vm.depth >= maxCallDepth {
+		return Undefined(), fmt.Errorf("jsvm: %w (line %d)", ErrCallDepth, ln)
 	}
-	if st == stReturn {
-		return v, nil
-	}
-	return vm.lastVal, nil
-}
-
-// callClosure invokes a bytecode closure with args originating outside
-// the VM stack (Go callers, host builtins, the tree walker).
-func (vm *VM) callClosure(o *Object, this Value, args []Value) (Value, error) {
-	argStart := vm.sp
-	vm.ensureStack(argStart + len(args))
-	copy(vm.stack[argStart:], args)
-	vm.sp = argStart + len(args)
-	v, err := vm.callProtoAt(o, this, argStart, len(args))
-	vm.sp = argStart
-	return v, err
-}
-
-func (vm *VM) callProtoAt(o *Object, this Value, argStart, nargs int) (Value, error) {
+	vm.depth++
 	st, v, err := vm.execProto(o.proto, o.cells, this, argStart, nargs)
+	vm.depth--
 	if err != nil {
 		return Undefined(), err
 	}
@@ -251,7 +343,9 @@ func (vm *VM) runFrame(fr *frame, pc, end int32) (uint8, Value, error) {
 			c.set = true
 		case opDeclGlobal:
 			vm.sp--
-			vm.global.declare(proto.names[in.a], vm.stack[vm.sp])
+			box := vm.stack[vm.sp]
+			vm.globals[proto.names[in.a]] = &box
+			vm.globalGen++
 		case opResetSlots:
 			for i := in.a; i < in.b; i++ {
 				vm.stack[base+i] = unsetValue
@@ -587,9 +681,8 @@ func (vm *VM) runFrame(fr *frame, pc, end int32) (uint8, Value, error) {
 }
 
 // dispatchCall invokes the callable at the top of the stack layout
-// [recv, fn, args...] from either engine: host functions get a fresh
-// argument slice (they may retain it), bytecode closures run in place on
-// the stack, and tree-walker closures route through invoke.
+// [recv, fn, args...]: host functions get a fresh argument slice (they
+// may retain it), bytecode closures run in place on the stack.
 func (vm *VM) dispatchCall(fnV, recv Value, argStart, nargs, ln int) (Value, error) {
 	o := fnV.Object()
 	if o == nil || !o.call {
@@ -600,18 +693,15 @@ func (vm *VM) dispatchCall(fnV, recv Value, argStart, nargs, ln int) (Value, err
 		copy(args, vm.stack[argStart:argStart+nargs])
 		return o.host(Call{VM: vm, This: recv, Args: args})
 	}
-	if o.proto != nil {
-		np := o.proto.nparams
-		if nargs < np {
-			vm.ensureStack(argStart + np)
-			for i := nargs; i < np; i++ {
-				vm.stack[argStart+i] = Undefined()
-			}
-			vm.sp = argStart + np
+	np := o.proto.nparams
+	if nargs < np {
+		vm.ensureStack(argStart + np)
+		for i := nargs; i < np; i++ {
+			vm.stack[argStart+i] = Undefined()
 		}
-		return vm.callProtoAt(o, recv, argStart, nargs)
+		vm.sp = argStart + np
 	}
-	return vm.invoke(fnV, recv, vm.stack[argStart:argStart+nargs], ln)
+	return vm.callProtoAt(o, recv, argStart, nargs, ln)
 }
 
 // getLookup resolves a named read through its candidate chain; the
@@ -650,7 +740,7 @@ func (vm *VM) getLookup(fr *frame, in instr, ln int32) (Value, error) {
 					}
 				}
 				vm.icMisses++
-				if box, ok := vm.global.vars[name]; ok {
+				if box, ok := vm.globals[name]; ok {
 					*e = icEntry{state: 1, gen: vm.globalGen, box: box}
 					return *box, nil
 				}
@@ -661,7 +751,7 @@ func (vm *VM) getLookup(fr *frame, in instr, ln int32) (Value, error) {
 				}
 				return Undefined(), throwError("%s is not defined", name)
 			}
-			if box, ok := vm.global.vars[name]; ok {
+			if box, ok := vm.globals[name]; ok {
 				return *box, nil
 			}
 			if vm.Global.Has(name) {
@@ -674,10 +764,10 @@ func (vm *VM) getLookup(fr *frame, in instr, ln int32) (Value, error) {
 }
 
 // setLookup writes through the candidate chain: the first live binding
-// receives the value. The global terminal replicates assignTo exactly:
-// a global-scope box is written, a name living only on the Global object
-// silently loses the write (the walker writes a copied box), and an
-// unknown name becomes an implicit global on the Global object.
+// receives the value. At the global terminal a global-scope box is
+// written, a name living only on the Global object silently loses the
+// write (the scope chain hands out a copy of it), and an unknown name
+// becomes an implicit global on the Global object.
 func (vm *VM) setLookup(fr *frame, in instr, v Value) {
 	refs := fr.proto.lookups[in.a]
 	for _, r := range refs {
@@ -699,12 +789,12 @@ func (vm *VM) setLookup(fr *frame, in instr, v Value) {
 			}
 		case refGlobal:
 			name := fr.proto.names[r.idx]
-			if box, ok := vm.global.vars[name]; ok {
+			if box, ok := vm.globals[name]; ok {
 				*box = v
 				return
 			}
 			if vm.Global.Has(name) {
-				return // lost write, as the walker's copied global box
+				return // lost write: see above
 			}
 			vm.Global.Set(name, v)
 			return
@@ -731,7 +821,7 @@ func (vm *VM) typeofLookup(fr *frame, in instr) Value {
 			}
 		case refGlobal:
 			name := fr.proto.names[r.idx]
-			if box, ok := vm.global.vars[name]; ok {
+			if box, ok := vm.globals[name]; ok {
 				return String(box.TypeOf())
 			}
 			if vm.Global.Has(name) {
@@ -745,8 +835,8 @@ func (vm *VM) typeofLookup(fr *frame, in instr) Value {
 
 // getMemberIC reads a static property with a monomorphic inline cache
 // for plain own properties of non-array objects. Fresh-closure members
-// (array/object methods) are never cached, so their per-access identity
-// matches the tree walker.
+// (array/object methods) are never cached: each access yields a new
+// function object.
 func (vm *VM) getMemberIC(fr *frame, obj Value, in instr, ln int32) (Value, error) {
 	name := fr.proto.names[in.a]
 	if o := obj.Object(); o != nil && !o.array && in.b >= 0 && fr.ics != nil {
@@ -764,7 +854,7 @@ func (vm *VM) getMemberIC(fr *frame, obj Value, in instr, ln int32) (Value, erro
 	return vm.getProp(obj, name, int(ln))
 }
 
-// getMemberDyn reads a computed member, mirroring getMember.
+// getMemberDyn reads a computed member obj[idx].
 func (vm *VM) getMemberDyn(obj, idx Value, ln int32) (Value, error) {
 	if o := obj.Object(); o != nil && o.IsArray() && idx.kind == KindNumber {
 		return o.Index(int(idx.n)), nil
@@ -772,6 +862,151 @@ func (vm *VM) getMemberDyn(obj, idx Value, ln int32) (Value, error) {
 	return vm.getProp(obj, idx.StringValue(), int(ln))
 }
 
-// sortKeys is referenced by opForPrep through Object.Keys; keep the
-// import anchored.
-var _ = sort.Strings
+// getProp reads obj.name, including string, number, array and object
+// built-in members.
+func (vm *VM) getProp(obj Value, name string, ln int) (Value, error) {
+	switch obj.Kind() {
+	case KindObject:
+		o := obj.Object()
+		if o.IsArray() {
+			if v, ok := arrayMethod(o, name); ok {
+				return v, nil
+			}
+		}
+		if o.Has(name) {
+			return o.Get(name), nil
+		}
+		if o.IsArray() && name == "length" {
+			return Number(float64(len(o.elems))), nil
+		}
+		if fn, ok := objectMethod(o, name); ok {
+			return fn, nil
+		}
+		return Undefined(), nil
+	case KindString:
+		return stringMember(obj.StringValue(), name)
+	case KindNumber:
+		if name == "toFixed" {
+			n := obj.NumberValue()
+			return ObjectValue(NewHostFunc("toFixed", func(c Call) (Value, error) {
+				digits := int(c.Arg(0).NumberValue())
+				return String(strconv.FormatFloat(n, 'f', digits, 64)), nil
+			})), nil
+		}
+		if name == "toString" {
+			n := obj.NumberValue()
+			return ObjectValue(NewHostFunc("toString", func(c Call) (Value, error) {
+				return String(formatNumber(n)), nil
+			})), nil
+		}
+		return Undefined(), nil
+	case KindUndefined, KindNull:
+		return Undefined(), throwError("line %d: cannot read property %q of %s", ln, name, obj.StringValue())
+	default:
+		return Undefined(), nil
+	}
+}
+
+func binaryOp(op string, l, r Value) (Value, error) {
+	switch op {
+	case "+":
+		if l.Kind() == KindString || r.Kind() == KindString ||
+			(l.Kind() == KindObject && !l.IsNullish()) || (r.Kind() == KindObject && !r.IsNullish()) {
+			return String(l.StringValue() + r.StringValue()), nil
+		}
+		return Number(l.NumberValue() + r.NumberValue()), nil
+	case "-":
+		return Number(l.NumberValue() - r.NumberValue()), nil
+	case "*":
+		return Number(l.NumberValue() * r.NumberValue()), nil
+	case "/":
+		return Number(l.NumberValue() / r.NumberValue()), nil
+	case "%":
+		return Number(math.Mod(l.NumberValue(), r.NumberValue())), nil
+	case "==", "===":
+		return Bool(looseEquals(l, r, op == "===")), nil
+	case "!=", "!==":
+		return Bool(!looseEquals(l, r, op == "!==")), nil
+	case "<", "<=", ">", ">=":
+		if l.Kind() == KindString && r.Kind() == KindString {
+			a, b := l.StringValue(), r.StringValue()
+			switch op {
+			case "<":
+				return Bool(a < b), nil
+			case "<=":
+				return Bool(a <= b), nil
+			case ">":
+				return Bool(a > b), nil
+			default:
+				return Bool(a >= b), nil
+			}
+		}
+		a, b := l.NumberValue(), r.NumberValue()
+		switch op {
+		case "<":
+			return Bool(a < b), nil
+		case "<=":
+			return Bool(a <= b), nil
+		case ">":
+			return Bool(a > b), nil
+		default:
+			return Bool(a >= b), nil
+		}
+	case "&":
+		return Number(float64(toInt32(l.NumberValue()) & toInt32(r.NumberValue()))), nil
+	case "|":
+		return Number(float64(toInt32(l.NumberValue()) | toInt32(r.NumberValue()))), nil
+	case "^":
+		return Number(float64(toInt32(l.NumberValue()) ^ toInt32(r.NumberValue()))), nil
+	case "<<":
+		return Number(float64(toInt32(l.NumberValue()) << (uint32(toInt32(r.NumberValue())) & 31))), nil
+	case ">>":
+		return Number(float64(toInt32(l.NumberValue()) >> (uint32(toInt32(r.NumberValue())) & 31))), nil
+	case ">>>":
+		return Number(float64(uint32(toInt32(l.NumberValue())) >> (uint32(toInt32(r.NumberValue())) & 31))), nil
+	case "in":
+		if o := r.Object(); o != nil {
+			return Bool(o.Has(l.StringValue())), nil
+		}
+		return Bool(false), nil
+	case "instanceof":
+		return Bool(false), nil // prototypes are not modelled
+	default:
+		return Undefined(), throwError("unknown operator %q", op)
+	}
+}
+
+func looseEquals(l, r Value, strict bool) bool {
+	if l.Kind() == r.Kind() {
+		switch l.Kind() {
+		case KindUndefined, KindNull:
+			return true
+		case KindBool:
+			return l.b == r.b
+		case KindNumber:
+			return l.n == r.n
+		case KindString:
+			return l.s == r.s
+		case KindObject:
+			return l.o == r.o
+		}
+	}
+	if strict {
+		return false
+	}
+	// Loose cross-kind cases.
+	if l.IsNullish() && r.IsNullish() {
+		return true
+	}
+	if l.IsNullish() || r.IsNullish() {
+		return false
+	}
+	return l.NumberValue() == r.NumberValue()
+}
+
+func toInt32(f float64) int32 {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0
+	}
+	return int32(int64(f))
+}
